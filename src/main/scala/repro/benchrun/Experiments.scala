@@ -8,7 +8,7 @@ import repro.metrics.Measures
 import repro.planner._
 
 /** Reproduction experiments — one runner per paper table/figure (§9).
-  * Each returns printable rows; benches and spark-submit jobs share them.
+  * Each returns printable rows, which the `bench/` suites check and save.
   *
   * Scale note (DESIGN.md §2): all datasets are 1/100 of the paper's, so
   * our "2M" label corresponds to 20K rows etc. Absolute times differ from
@@ -56,7 +56,7 @@ object Experiments {
     * the paper likewise builds its indices at data-loading time (§3).
     */
   def warm(ctx: TableContext, mb: MbConfig = MbConfig.All): TableContext = {
-    ctx.rows; ctx.tbi; ctx.blockSizes; ctx.retainedTbi(mb); ctx.valueFreq; ctx.size
+    ctx.rows; ctx.tbi; ctx.retainedTbi(mb); ctx.valueFreq; ctx.size
     // one small untimed dedup triggers codegen/JIT of the whole pipeline
     val ids = ctx.rows.select(Tokenizer.EidCol).limit(32)
       .collect().map(_.getLong(0)).toSet

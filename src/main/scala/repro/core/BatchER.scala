@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, functions => F}
 import repro.metrics.Measures
-import scala.collection.concurrent.TrieMap
 
 /** Result of a full batch deduplication of one table (the paper's D'). */
 final case class BatchResult(
@@ -23,19 +22,12 @@ final case class BatchResult(
     * member-level semantics a BAQ needs so that a query over E_G returns
     * the same entities a batch-cleaned database would (paper §5).
     */
-  def matchingClusters(pred: Column): Set[Long] = {
-    val spark = ctx.spark
-    import spark.implicits._
-    ctx.rows.where(pred).select(Tokenizer.EidCol).as[Long].collect()
-      .map(id => clusterOf.getOrElse(id, id)).toSet
-  }
+  def matchingClusters(pred: Column): Set[Long] =
+    ctx.idsWhere(pred).map(id => clusterOf.getOrElse(id, id))
 
   /** BAQ over a single collection: grouped rows of matching clusters. */
-  def select(pred: Column): DataFrame = {
-    val cl   = matchingClusters(pred)
-    val isIn = F.udf((c: Long) => cl.contains(c))
-    grouped.where(isIn(F.col("cluster")))
-  }
+  def select(pred: Column): DataFrame =
+    grouped.where(TableContext.idIn(F.col("cluster"), matchingClusters(pred)))
 }
 
 /** The Batch Approach baseline (paper §5): apply the complete ER workflow
@@ -46,21 +38,15 @@ final case class BatchResult(
   */
 object BatchER {
 
-  private val memo = TrieMap.empty[(Int, DedupConfig), BatchResult]
-
+  /** Batch-clean the table, memoised on its context per configuration. */
   def run(ctx: TableContext, cfg: DedupConfig = DedupConfig()): BatchResult =
-    memo.getOrElseUpdate((System.identityHashCode(ctx), cfg.copy(useLinkIndex = false)), {
-      val spark = ctx.spark
-      import spark.implicits._
+    ctx.batchMemo.getOrElseUpdate(cfg.copy(useLinkIndex = false), {
       val (result, ms) = Measures.timed {
-        val allIds  = ctx.rows.select(F.col(Tokenizer.EidCol)).as[Long].collect().toSet
+        val allIds  = ctx.idsWhere(F.lit(true))
         val outcome = Deduplicate.run(ctx, allIds, cfg.copy(useLinkIndex = false, computePc = false))
         val clusters = Clusters.fromLinks(allIds, outcome.links)
         (clusters, outcome.links, outcome.stats.comparisons)
       }
       BatchResult(ctx, result._1, result._2, result._3, ms)
     })
-
-  /** Drop memoised batch runs (benchmarks re-run from cold). */
-  def clearCache(): Unit = memo.clear()
 }

@@ -33,7 +33,6 @@ final case class DedupStats(
     unresolvedSize: Long,
     drSize: Long,
     comparisons: Long,
-    candidateBlocks: Long,
     times: StageTimes,
     pc: Option[Double],
 )
@@ -47,12 +46,7 @@ final case class DedupOutcome(
     stats: DedupStats,
 ) {
   /** Entity rows of the DR set. */
-  def drRows: DataFrame = {
-    val spark = ctx.spark
-    import spark.implicits._
-    val ids = spark.createDataset(drIds.toSeq).toDF(Tokenizer.EidCol)
-    ctx.rows.join(ids, Tokenizer.EidCol)
-  }
+  def drRows: DataFrame = ctx.rows.where(TableContext.idIn(F.col(Tokenizer.EidCol), drIds))
 
   /** Cluster representative per DR entity (connected components of L_E). */
   lazy val clusterOf: Map[Long, Long] = Clusters.fromLinks(drIds, links)
@@ -62,17 +56,11 @@ final case class DedupOutcome(
   * Meta-Blocking (BP, BF, EP) → Comparison-Execution, amending the Link
   * Index with the resolved links. Every stage is a Catalyst composition
   * over the table's TBI; stages are materialised so the paper's per-stage
-  * time breakdown can be reported.
+  * time breakdown can be reported. With the Link Index off, the operator
+  * runs the same way over a fresh, empty index.
   */
 object Deduplicate {
   import Tokenizer.EidCol
-
-  def run(ctx: TableContext, qe: DataFrame, cfg: DedupConfig = DedupConfig()): DedupOutcome = {
-    val spark = ctx.spark
-    import spark.implicits._
-    val qeIds = qe.select(F.col(EidCol).cast("long")).as[Long].collect().toSet
-    run(ctx, qeIds, cfg)
-  }
 
   def run(ctx: TableContext, qeIds: Set[Long], cfg: DedupConfig): DedupOutcome = {
     val spark = ctx.spark
@@ -81,23 +69,22 @@ object Deduplicate {
     // LI short-circuit: only entities whose link-sets are not yet known
     // feed the ER pipeline (paper §6.1: "we only need to compute the
     // link-sets of those entities in QE_E that are not already in LI_E").
-    val unresolved: Set[Long] =
-      if (cfg.useLinkIndex) qeIds.filterNot(ctx.li.isResolved) else qeIds
+    val li         = if (cfg.useLinkIndex) ctx.li else new LinkIndex
+    val unresolved = qeIds.filterNot(li.isResolved)
 
-    var times            = StageTimes()
-    var comparisons      = 0L
-    var candidateBlocks  = 0L
+    var times                       = StageTimes()
+    var comparisons                 = 0L
     var pc: Option[Double]          = None
     var newLinks: Seq[(Long, Long)] = Nil
 
     if (unresolved.nonEmpty) {
-      val isQ = F.udf((id: Long) => unresolved.contains(id))
+      val isQ = TableContext.idIn(F.col(EidCol), unresolved)
 
       // (i) Query Blocking — the QBI keys of the unresolved QE entities.
       // QE ⊆ E and blocking is deterministic, so the keys are read from
       // the TBI rather than re-tokenised.
       val (qbiKeys, tBlk) = Measures.timed {
-        val k = ctx.tbi.where(isQ(F.col(EidCol))).select("token").distinct().cache()
+        val k = ctx.tbi.where(isQ).select("token").distinct().cache()
         k.count()
         k
       }
@@ -107,9 +94,9 @@ object Deduplicate {
       val (eqbi, tJoin) = Measures.timed {
         val e = ctx.retainedTbi(cfg.mb)
           .join(qbiKeys, "token")
-          .withColumn("isQuery", isQ(F.col(EidCol)))
+          .withColumn("isQuery", isQ)
           .cache()
-        candidateBlocks = e.select("token").distinct().count()
+        e.count()
         e
       }
 
@@ -146,18 +133,10 @@ object Deduplicate {
     }
 
     // Amend the LI and assemble DR = QE ∪ duplicates-of-QE.
-    if (cfg.useLinkIndex) {
-      ctx.li.addLinks(newLinks)
-      ctx.li.markResolved(unresolved)
-      val dr = ctx.li.closure(qeIds)
-      DedupOutcome(ctx, qeIds, dr, ctx.li.linksAmong(dr),
-        DedupStats(qeIds.size, unresolved.size, dr.size, comparisons, candidateBlocks, times, pc))
-    } else {
-      val scratch = new LinkIndex
-      scratch.addLinks(newLinks)
-      val dr = scratch.closure(qeIds)
-      DedupOutcome(ctx, qeIds, dr, scratch.linksAmong(dr),
-        DedupStats(qeIds.size, unresolved.size, dr.size, comparisons, candidateBlocks, times, pc))
-    }
+    li.addLinks(newLinks)
+    li.markResolved(unresolved)
+    val dr = li.closure(qeIds)
+    DedupOutcome(ctx, qeIds, dr, li.linksAmong(dr),
+      DedupStats(qeIds.size, unresolved.size, dr.size, comparisons, times, pc))
   }
 }

@@ -14,52 +14,26 @@ import org.apache.spark.sql.{Column, DataFrame, functions => F}
 object DeduplicateJoin {
   import Tokenizer.EidCol
 
-  /** DIRTY-RIGHT: `left` is resolved; reduce + resolve the right side. */
-  def dirtyRight(
-      left: DedupOutcome,
-      rightCtx: TableContext,
-      rightPred: Column,
-      leftAttr: String,
-      rightAttr: String,
-      cfg: DedupConfig,
-  ): (DedupOutcome, DedupOutcome) = {
-    val rightQe = reduceDirtySide(left, leftAttr, rightCtx, rightPred, rightAttr)
-    val rightDr = Deduplicate.run(rightCtx, rightQe, cfg)
-    (left, rightDr)
-  }
-
-  /** DIRTY-LEFT: `right` is resolved; reduce + resolve the left side. */
-  def dirtyLeft(
-      leftCtx: TableContext,
-      leftPred: Column,
-      right: DedupOutcome,
-      leftAttr: String,
-      rightAttr: String,
-      cfg: DedupConfig,
-  ): (DedupOutcome, DedupOutcome) = {
-    val leftQe = reduceDirtySide(right, rightAttr, leftCtx, leftPred, leftAttr)
-    val leftDr = Deduplicate.run(leftCtx, leftQe, cfg)
-    (leftDr, right)
-  }
-
-  /** QE' of the dirty side: its filtered entities that equi-join with any
-    * join-attribute variant present in the resolved side's DR (Alg. 1).
+  /** Resolve the dirty branch of a join against the already resolved one
+    * (DIRTY-RIGHT when the resolved branch is the left one, DIRTY-LEFT
+    * otherwise): QE' of the dirty side is its filtered entities that
+    * equi-join with any join-attribute variant present in the resolved
+    * side's DR (Alg. 1), and QE' is then deduplicated.
     */
-  private def reduceDirtySide(
+  def resolveDirty(
       resolved: DedupOutcome,
       resolvedAttr: String,
       dirtyCtx: TableContext,
       dirtyPred: Column,
       dirtyAttr: String,
-  ): DataFrame = {
+      cfg: DedupConfig,
+  ): DedupOutcome = {
     val vals = resolved.drRows
       .select(F.col(resolvedAttr).cast("string").as("__jv"))
       .where(F.col("__jv").isNotNull && F.length(F.trim(F.col("__jv"))) > 0)
       .distinct()
-    dirtyCtx.rows
-      .where(dirtyPred)
-      .join(vals, dirtyCtx.rows(dirtyAttr).cast("string") === F.col("__jv"), "left_semi")
-      .select(EidCol)
+    val qe = dirtyCtx.idsWhere(dirtyPred && F.col(dirtyAttr).cast("string").isin(vals))
+    Deduplicate.run(dirtyCtx, qe, cfg)
   }
 
   /** Alg. 2 at cluster granularity: the joined DR is the set of

@@ -13,8 +13,6 @@ final case class MbConfig(
     purge: Boolean = true,
     filter: Boolean = true,
     edgePruning: Boolean = true,
-    purgeSf: Double = MbConfig.DefaultPurgeSf,
-    filterP: Double = 0.8,
 ) {
   def label: String =
     (Seq("BP").filter(_ => purge) ++ Seq("BF").filter(_ => filter) ++
@@ -26,7 +24,7 @@ final case class MbConfig(
 
 object MbConfig {
   /** Comparison-budget multiplier of Block Purging: the retained blocks
-    * carry at most `purgeSf · |E|` comparisons (see
+    * carry at most `DefaultPurgeSf · |E|` comparisons (see
     * [[MetaBlocking.purgeThreshold]] for why this replaces the paper's
     * SF = 1.025, whose literal inequality is vacuous).
     */
@@ -35,7 +33,6 @@ object MbConfig {
   val All: MbConfig  = MbConfig()
   val BpBf: MbConfig = MbConfig(edgePruning = false)
   val BpEp: MbConfig = MbConfig(filter = false)
-  val None: MbConfig = MbConfig(purge = false, filter = false, edgePruning = false)
 }
 
 /** Block-refinement (Block Purging, Block Filtering) and
@@ -162,18 +159,5 @@ object MetaBlocking {
       case r                  => r.getDouble(0)
     }
     pairs.where(F.col("weight") >= math.min(mean, 1.0))
-  }
-
-  /** Full meta-blocking pass per the configured method combination; the
-    * BP → BF → EP order is strict (paper §6.1.iii). Returns the surviving
-    * candidate pairs `(aid, bid, weight, aq, bq)`.
-    */
-  def run(entries: DataFrame, cfg: MbConfig): DataFrame = {
-    var cur = entries
-    if (cfg.purge) cur = purge(cur, cfg.purgeSf)._1
-    if (cfg.filter) cur = MetaBlocking.filter(cur, cfg.filterP)
-    var pairs = candidatePairs(cur)
-    if (cfg.edgePruning) pairs = edgePruning(pairs)
-    pairs
   }
 }

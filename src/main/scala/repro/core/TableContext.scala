@@ -1,12 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession, functions => F}
 import org.apache.spark.storage.StorageLevel
+import scala.collection.concurrent.TrieMap
 
 /** Per-table state mirroring the paper's once-off initialisation (§3):
-  * the cached entity rows, the Table Block Index TBI_E (with its block
-  * sizes, i.e. the sorted ITBI view), and the Link Index LI_E. Built once
-  * when a table is registered; shared by every query against the table.
+  * the cached entity rows, the Table Block Index TBI_E and the Link Index
+  * LI_E. Built once when a table is registered; shared by every query
+  * against the table.
   *
   * @param truth optional ground-truth `(eid, cluster)` table from the
   *              dirty-data generator, used only by the PC measure.
@@ -39,16 +40,14 @@ final class TableContext(
     t
   }
 
-  /** Block sizes |b| per blocking key. */
-  lazy val blockSizes: DataFrame = {
-    val s = tbi.groupBy("token").agg(F.count("*").as("bsize"))
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    s.count()
-    s
-  }
-
   lazy val size: Long          = rows.count()
-  lazy val tbiBlockCount: Long = blockSizes.count()
+  lazy val tbiBlockCount: Long = tbi.select("token").distinct().count()
+
+  /** Ids of the entities satisfying `pred` — the QE of a query (paper
+    * §6.1), collected to the driver.
+    */
+  def idsWhere(pred: Column): Set[Long] =
+    rows.where(pred).select(F.col(EidCol).cast("long")).collect().map(_.getLong(0)).toSet
 
   /** Frequency of every repeated cell value across all attributes —
     * the discriminativeness weights of the resolution function (values
@@ -68,8 +67,7 @@ final class TableContext(
   /** The progressive Link Index; starts empty, amended per query. */
   val li = new LinkIndex
 
-  private val retainedMemo =
-    scala.collection.concurrent.TrieMap.empty[(Boolean, Boolean, Double, Double), DataFrame]
+  private val retainedMemo = TrieMap.empty[(Boolean, Boolean), DataFrame]
 
   /** TBI after the block-refinement methods (Block Purging + Block
     * Filtering) under a meta-blocking configuration — computed once per
@@ -80,29 +78,31 @@ final class TableContext(
     * moves the cost into the once-off initialisation.
     */
   def retainedTbi(mb: MbConfig): DataFrame =
-    retainedMemo.getOrElseUpdate((mb.purge, mb.filter, mb.purgeSf, mb.filterP), {
+    retainedMemo.getOrElseUpdate((mb.purge, mb.filter), {
       var cur = tbi
-      if (mb.purge) cur = MetaBlocking.purge(cur, mb.purgeSf)._1
-      if (mb.filter) cur = MetaBlocking.filter(cur, mb.filterP)
+      if (mb.purge) cur = MetaBlocking.purge(cur)._1
+      if (mb.filter) cur = MetaBlocking.filter(cur)
       val d = cur.persist(StorageLevel.MEMORY_AND_DISK)
       d.count()
       d
     })
 
-  /** Memoised planner statistics (duplication factor, join percentages). */
-  private[repro] var dupFactorMemo: Option[Double]                 = None
-  private[repro] val joinPercentMemo =
-    scala.collection.concurrent.TrieMap.empty[(String, String, String), (Double, Double)]
+  /** Batch-ER results of this table per configuration (see [[BatchER.run]]). */
+  private[core] val batchMemo = TrieMap.empty[DedupConfig, BatchResult]
 
   /** Forget all progressive state (used between benchmark configurations). */
   def resetLinkIndex(): Unit = li.clear()
-
-  def unpersistAll(): Unit = {
-    blockSizes.unpersist(); tbi.unpersist(); rows.unpersist()
-  }
 }
 
 object TableContext {
   def apply(name: String, df: DataFrame, truth: Option[DataFrame] = None): TableContext =
     new TableContext(name, df, truth)
+
+  /** `c ∈ ids` for a driver-side id set: the one way a relation is
+    * restricted to a set of entities (QE, DR) or clusters.
+    */
+  def idIn(c: Column, ids: Set[Long]): Column = {
+    val member = F.udf((id: Long) => ids.contains(id))
+    member(c)
+  }
 }

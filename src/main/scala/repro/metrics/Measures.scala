@@ -25,12 +25,11 @@ object Measures {
   def pairCompleteness(ctx: TableContext, qe: Set[Long], candidatePairs: DataFrame): Double = {
     val truth = ctx.truth.getOrElse(
       throw new IllegalStateException(s"no ground truth registered for ${ctx.name}"))
-    val inQe = F.udf((id: Long) => qe.contains(id))
     val a = truth.select(F.col("eid").as("aid"), F.col("cluster"))
     val b = truth.select(F.col("eid").as("bid"), F.col("cluster"))
     val gtPairs = a.join(b, "cluster")
       .where(F.col("aid") < F.col("bid"))
-      .where(inQe(F.col("aid")) || inQe(F.col("bid")))
+      .where(TableContext.idIn(F.col("aid"), qe) || TableContext.idIn(F.col("bid"), qe))
       .select("aid", "bid")
       .cache()
     val gt = gtPairs.count()

@@ -22,6 +22,10 @@ final case class ExecStats(
   */
 object Executor {
 
+  /** Deduplicate the entities of `ctx` that satisfy `pred`. */
+  private def dedup(ctx: TableContext, pred: Pred, cfg: DedupConfig): DedupOutcome =
+    Deduplicate.run(ctx, ctx.idsWhere(pred.toColumn), cfg)
+
   /** Evaluate an SP dedupe query: Filter → Deduplicate → Group-Entities →
     * Project (paper §7.2.1.ii SP placement: the operator sits above the
     * Filter so only |QE_E| entities feed it).
@@ -35,8 +39,7 @@ object Executor {
     var grouped: DataFrame    = null
     var groupMs               = 0L
     val (_, totalMs) = Measures.timed {
-      val qe = ctx.rows.where(spec.pred.toColumn).select(Tokenizer.EidCol)
-      outcome = Deduplicate.run(ctx, qe, cfg)
+      outcome = dedup(ctx, spec.pred, cfg)
       val (g, gMs) = Measures.timed {
         val gr = GroupEntities.group(outcome.drRows, outcome.clusterOf, ctx.attrs).cache()
         gr.count()
@@ -66,7 +69,7 @@ object Executor {
       r.count()
       r
     }
-    val qe      = ctx.rows.where(spec.pred.toColumn).count()
+    val qe      = ctx.idsWhere(spec.pred.toColumn).size
     val totalMs = batch.elapsedMs + queryMs
     (result, ExecStats(totalMs, batch.comparisons, qe, ctx.size, StageTimes(otherMs = totalMs)))
   }
@@ -91,29 +94,22 @@ object Executor {
       kind match {
         case NaivePlanner if forceFirst.isEmpty =>
           // fixed plan: Deduplicate above the Filter on both branches
-          val lQe = lCtx.rows.where(spec.left.pred.toColumn).select(Tokenizer.EidCol)
-          val rQe = rCtx.rows.where(spec.right.pred.toColumn).select(Tokenizer.EidCol)
-          lOut = Deduplicate.run(lCtx, lQe, cfg)
-          rOut = Deduplicate.run(rCtx, rQe, cfg)
+          lOut = dedup(lCtx, spec.left.pred, cfg)
+          rOut = dedup(rCtx, spec.right.pred, cfg)
         case _ =>
           val first = forceFirst.getOrElse {
             val p = Planner.planJoin(lCtx, spec.left.pred, rCtx, spec.right.pred, cfg.mb)
             plan = Some(p)
             p.dedupFirst
           }
-          if (first == LeftSide) {
-            val lQe = lCtx.rows.where(spec.left.pred.toColumn).select(Tokenizer.EidCol)
-            val lo  = Deduplicate.run(lCtx, lQe, cfg)
-            val (l, r) = DeduplicateJoin.dirtyRight(
-              lo, rCtx, spec.right.pred.toColumn, spec.leftAttr, spec.rightAttr, cfg)
-            lOut = l; rOut = r
-          } else {
-            val rQe = rCtx.rows.where(spec.right.pred.toColumn).select(Tokenizer.EidCol)
-            val ro  = Deduplicate.run(rCtx, rQe, cfg)
-            val (l, r) = DeduplicateJoin.dirtyLeft(
-              lCtx, spec.left.pred.toColumn, ro, spec.leftAttr, spec.rightAttr, cfg)
-            lOut = l; rOut = r
-          }
+          val left  = (lCtx, spec.left.pred, spec.leftAttr)
+          val right = (rCtx, spec.right.pred, spec.rightAttr)
+          val ((fCtx, fPred, fAttr), (dCtx, dPred, dAttr)) =
+            if (first == LeftSide) (left, right) else (right, left)
+          val resolved = dedup(fCtx, fPred, cfg)
+          val dirty    = DeduplicateJoin.resolveDirty(resolved, fAttr, dCtx, dPred.toColumn, dAttr, cfg)
+          if (first == LeftSide) { lOut = resolved; rOut = dirty }
+          else { lOut = dirty; rOut = resolved }
       }
       val joined = DeduplicateJoin.joinOperation(lOut, rOut, spec.leftAttr, spec.rightAttr)
       result = projectJoin(joined, spec.projection)
@@ -160,20 +156,18 @@ object Executor {
     * clusters any of whose members pass the predicate (BAQ semantics).
     */
   private def outcomeOfBatch(ctx: TableContext, batch: BatchResult, pred: Pred): DedupOutcome = {
-    val spark = ctx.spark
-    import spark.implicits._
     val clusters = batch.matchingClusters(pred.toColumn)
     val members  = batch.clusterOf.collect {
       case (id, c) if clusters.contains(c) => id
     }.toSet
-    val qe = ctx.rows.where(pred.toColumn).select(Tokenizer.EidCol).as[Long].collect().toSet
+    val qe = ctx.idsWhere(pred.toColumn)
     val links = {
       val li = new LinkIndex
       li.addLinks(batch.links)
       li.linksAmong(members)
     }
     DedupOutcome(ctx, qe, members, links,
-      DedupStats(qe.size, qe.size, members.size, 0L, 0L, StageTimes(), None))
+      DedupStats(qe.size, qe.size, members.size, 0L, StageTimes(), None))
   }
 
   private def project(grouped: DataFrame, projection: Seq[String]): DataFrame =

@@ -1,23 +1,23 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
+import repro.data.MotivatingExample
 
 /** Deduplicate-Join operator (paper §6.2, Algorithms 1–2) on the
   * motivating example: P ⋈ V on P.venue = V.title, WHERE P.venue='EDBT'.
   */
 class DeduplicateJoinSpec extends SparkSpec {
 
-  private def pCtx = TableContext("pj", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
-  private def vCtx = TableContext("vj", Fixtures.venues(spark), Some(Fixtures.venuesTruth(spark)))
+  private def pCtx = TableContext("pj", MotivatingExample.publications(spark), Some(MotivatingExample.publicationsTruth(spark)))
+  private def vCtx = TableContext("vj", MotivatingExample.venues(spark), Some(MotivatingExample.venuesTruth(spark)))
 
   private val cfg = DedupConfig(useLinkIndex = false)
 
   test("dirty-right reduces the right side to joinable entities before cleaning it") {
     val p = pCtx; val v = vCtx
-    val leftQe  = p.rows.where(col("venue") === "EDBT").select("eid")
-    val leftDr  = Deduplicate.run(p, leftQe, cfg)
-    val (_, rightDr) = DeduplicateJoin.dirtyRight(leftDr, v, lit(true), "venue", "title", cfg)
+    val leftDr  = Deduplicate.run(p, p.idsWhere(col("venue") === "EDBT"), cfg)
+    val rightDr = DeduplicateJoin.resolveDirty(leftDr, "venue", v, lit(true), "title", cfg)
     // left DR venues: {EDBT, International Conference on Extending DB Tech}
     // → right QE = {V1, V4}; V4's duplicate V1 already in QE
     assert(rightDr.qeIds == Set(1L, 4L))
@@ -26,9 +26,8 @@ class DeduplicateJoinSpec extends SparkSpec {
 
   test("dirty-left mirrors dirty-right") {
     val p = pCtx; val v = vCtx
-    val rightQe = v.rows.select("eid") // no filter on V
-    val rightDr = Deduplicate.run(v, rightQe, cfg)
-    val (leftDr, _) = DeduplicateJoin.dirtyLeft(p, col("venue") === "EDBT", rightDr, "venue", "title", cfg)
+    val rightDr = Deduplicate.run(v, v.idsWhere(lit(true)), cfg) // no filter on V
+    val leftDr  = DeduplicateJoin.resolveDirty(rightDr, "title", p, col("venue") === "EDBT", "venue", cfg)
     // left QE = σ(venue=EDBT) ∩ joins-with-V = {P1, P6, P8}; dups pulled in
     assert(leftDr.qeIds == Set(1L, 6L, 8L))
     assert(leftDr.drIds == Set(1L, 2L, 6L, 7L, 8L))
@@ -36,8 +35,8 @@ class DeduplicateJoinSpec extends SparkSpec {
 
   test("join operation joins at cluster granularity using all value variants") {
     val p = pCtx; val v = vCtx
-    val leftDr  = Deduplicate.run(p, p.rows.where(col("venue") === "EDBT").select("eid"), cfg)
-    val (_, rightDr) = DeduplicateJoin.dirtyRight(leftDr, v, lit(true), "venue", "title", cfg)
+    val leftDr  = Deduplicate.run(p, p.idsWhere(col("venue") === "EDBT"), cfg)
+    val rightDr = DeduplicateJoin.resolveDirty(leftDr, "venue", v, lit(true), "title", cfg)
     val joined = DeduplicateJoin.joinOperation(leftDr, rightDr, "venue", "title")
     // two publication groups × one venue group (V1 ≡ V4)
     assert(joined.count() == 2)
@@ -47,8 +46,8 @@ class DeduplicateJoinSpec extends SparkSpec {
 
   test("join operation output carries prefixed grouped columns of both sides") {
     val p = pCtx; val v = vCtx
-    val leftDr  = Deduplicate.run(p, p.rows.where(col("venue") === "EDBT").select("eid"), cfg)
-    val (_, rightDr) = DeduplicateJoin.dirtyRight(leftDr, v, lit(true), "venue", "title", cfg)
+    val leftDr  = Deduplicate.run(p, p.idsWhere(col("venue") === "EDBT"), cfg)
+    val rightDr = DeduplicateJoin.resolveDirty(leftDr, "venue", v, lit(true), "title", cfg)
     val joined = DeduplicateJoin.joinOperation(leftDr, rightDr, "venue", "title")
     val cols = joined.columns.toSet
     assert(Set("pj_title", "pj_year", "vj_title", "vj_rank", "lcluster", "rcluster").subsetOf(cols))
@@ -56,8 +55,8 @@ class DeduplicateJoinSpec extends SparkSpec {
 
   test("entities that do not join are absent from the output") {
     val p = pCtx; val v = vCtx
-    val leftDr  = Deduplicate.run(p, p.rows.where(col("venue") === "EDBT").select("eid"), cfg)
-    val (_, rightDr) = DeduplicateJoin.dirtyRight(leftDr, v, lit(true), "venue", "title", cfg)
+    val leftDr  = Deduplicate.run(p, p.idsWhere(col("venue") === "EDBT"), cfg)
+    val rightDr = DeduplicateJoin.resolveDirty(leftDr, "venue", v, lit(true), "title", cfg)
     val joined = DeduplicateJoin.joinOperation(leftDr, rightDr, "venue", "title")
     val vTitles = joined.select("vj_title").collect().map(_.getString(0)).mkString
     assert(!vTitles.contains("CIDR") && !vTitles.contains("SIGMOD"))

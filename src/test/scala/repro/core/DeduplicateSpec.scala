@@ -1,16 +1,16 @@
 package repro.core
 
-import repro.{Fixtures, SparkSpec}
-import repro.data.Datasets
+import repro.SparkSpec
+import repro.data.{Datasets, MotivatingExample}
 
 /** The Deduplicate operator end-to-end (paper §6.1). */
 class DeduplicateSpec extends SparkSpec {
 
   private lazy val pubsCtx =
-    TableContext("pubs", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
+    TableContext("pubs", MotivatingExample.publications(spark), Some(MotivatingExample.publicationsTruth(spark)))
 
   private def freshPubsCtx =
-    TableContext("pubsF", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
+    TableContext("pubsF", MotivatingExample.publications(spark), Some(MotivatingExample.publicationsTruth(spark)))
 
   test("deduplicating P1 discovers its duplicate P2") {
     val out = Deduplicate.run(freshPubsCtx, Set(1L), DedupConfig(useLinkIndex = false))
@@ -52,6 +52,13 @@ class DeduplicateSpec extends SparkSpec {
     assert(first.stats.comparisons > 0)
     assert(second.stats.comparisons == 0)
     assert(second.drIds == first.drIds)
+  }
+
+  test("with the link index off the table's link index stays empty") {
+    val ctx = freshPubsCtx
+    val out = Deduplicate.run(ctx, Set(1L, 6L, 8L), DedupConfig(useLinkIndex = false))
+    assert(out.links.nonEmpty)
+    assert(ctx.li.linkCount == 0 && ctx.li.resolvedCount == 0)
   }
 
   test("link index accumulates across overlapping queries") {

@@ -1,8 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
 import repro.PropSupport
+import repro.data.MotivatingExample
 import org.scalacheck.{Gen, Prop}
 
 /** Block Purging, Block Filtering and Edge Pruning (paper §6.1.iii). */
@@ -139,18 +141,27 @@ class MetaBlockingSpec extends SparkSpec with PropSupport {
     assert(MetaBlocking.edgePruning(pairs).count() == 2)
   }
 
-  test("run with MbConfig.None returns the raw candidate pairs") {
-    val e = entries(("t1", 1L, true), ("t1", 2L, false), ("t2", 3L, true), ("t2", 4L, false))
-    assert(MetaBlocking.run(e, MbConfig.None).count() == 2)
+  private lazy val pubs = TableContext("pubsMb", MotivatingExample.publications(spark))
+  private val noRefinement = MbConfig(purge = false, filter = false, edgePruning = false)
+
+  /** The Deduplicate operator's meta-blocking with QE = E: refined TBI →
+    * candidate pairs → Edge Pruning.
+    */
+  private def pairsOf(mb: MbConfig): Set[(Long, Long)] = {
+    val raw   = candidatePairs(pubs.retainedTbi(mb).withColumn("isQuery", lit(true)))
+    val pairs = if (mb.edgePruning) edgePruning(raw) else raw
+    pairs.select("aid", "bid").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
   }
-  test("run ALL is a subset of run None") {
-    val e = entries(
-      ("t1", 1L, true), ("t1", 2L, false),
-      ("t2", 1L, true), ("t2", 2L, false), ("t2", 3L, true),
-      ("t3", 3L, true), ("t3", 4L, false))
-    val all  = MetaBlocking.run(e, MbConfig.All).select("aid", "bid").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val none = MetaBlocking.run(e, MbConfig.None).select("aid", "bid").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(all.subsetOf(none))
+
+  test("unrefined candidate pairs are all pairs sharing a TBI block") {
+    val blocks = pubs.tbi.collect().groupMap(_.getAs[String]("token"))(_.getAs[Long]("eid"))
+    val expected = blocks.values.flatMap(ids =>
+      for (a <- ids.toSeq; b <- ids.toSeq if a < b) yield (a, b)).toSet
+    assert(expected.nonEmpty && pairsOf(noRefinement) == expected)
+  }
+  test("ALL refinement keeps a subset of the unrefined pairs") {
+    val all = pairsOf(MbConfig.All)
+    assert(all.nonEmpty && all.subsetOf(pairsOf(noRefinement)))
   }
   test("MbConfig labels match the paper's configurations") {
     assert(MbConfig.All.label == "ALL")

@@ -1,11 +1,12 @@
 package repro.core
 
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
+import repro.data.MotivatingExample
 
-/** Once-off per-table state: TBI, block sizes, value frequencies, LI. */
+/** Once-off per-table state: TBI, value frequencies, LI. */
 class TableContextSpec extends SparkSpec {
 
-  private def ctx = TableContext("pubsCtx", Fixtures.publications(spark))
+  private def ctx = TableContext("pubsCtx", MotivatingExample.publications(spark))
 
   test("requires an eid column") {
     import spark.implicits._
@@ -24,12 +25,6 @@ class TableContextSpec extends SparkSpec {
     val c = ctx
     val ids = c.tbi.where("token = 'edbt'").select("eid").collect().map(_.getLong(0)).toSet
     assert(ids == Set(1L, 6L, 8L))
-  }
-
-  test("block sizes match the TBI incidence") {
-    val c = ctx
-    val s = c.blockSizes.where("token = 'edbt'").collect()(0).getLong(1)
-    assert(s == 3L)
   }
 
   test("tbiBlockCount equals the number of distinct tokens") {

@@ -1,14 +1,15 @@
 package repro.sql
 
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
+import repro.data.MotivatingExample
 import repro.core.DedupConfig
 
 /** The QueryER facade and the Catalyst parser extension. */
 class QueryErSpec extends SparkSpec {
 
   private def registerExample(): Unit = {
-    QueryEr.register(spark, "p", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
-    QueryEr.register(spark, "v", Fixtures.venues(spark), Some(Fixtures.venuesTruth(spark)))
+    QueryEr.register(spark, "p", MotivatingExample.publications(spark), Some(MotivatingExample.publicationsTruth(spark)))
+    QueryEr.register(spark, "v", MotivatingExample.venues(spark), Some(MotivatingExample.venuesTruth(spark)))
   }
 
   test("registry lookups are case-insensitive and report unknown tables") {
@@ -55,7 +56,7 @@ class QueryErSpec extends SparkSpec {
         .withExtensions(new QueryErExtensions)
         .getOrCreate()
       try {
-        QueryEr.register(extSession, "pext", Fixtures.publications(extSession))
+        QueryEr.register(extSession, "pext", MotivatingExample.publications(extSession))
         val out = extSession.sql("SELECT DEDUP * FROM pext WHERE venue = 'EDBT'")
         assert(out.count() == 2)
         // plain SQL still parses through the delegate
